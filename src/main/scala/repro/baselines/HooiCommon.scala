@@ -2,8 +2,9 @@ package repro.baselines
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
+import repro.core.ProductKernel
 import repro.linalg.DenseMatrix
-import repro.tensor.{CoreEntry, CoreTensor, SparseTensor, TensorEntry}
+import repro.tensor.{CoreTensor, DenseTensor, TensorEntry}
 
 /** Shared machinery for the sparse zero-filled HOOI competitors
   * ([[SHotScan]], [[TuckerCsf]]): both produce the TTMc rows
@@ -119,38 +120,20 @@ object HooiCommon {
   def coreFromEntries(spark: SparkSession, entries: RDD[TensorEntry],
                       factors: Array[DenseMatrix], ranks: Array[Int]): CoreTensor = {
     val coreSize = ranks.product
-    val bF = spark.sparkContext.broadcast(factors.map(f => (f.cols, f.data)))
-    val bR = spark.sparkContext.broadcast(ranks)
+    val bK = spark.sparkContext.broadcast(ProductKernel(factors))
     val g = entries.treeAggregate(new Array[Double](coreSize))(
       seqOp = { (acc, e) =>
-        // walk all core cells; products built incrementally per mode would
-        // be faster, but |G| is small for every bench that runs this path.
-        val rs = bR.value
-        val f = bF.value
-        val cIdx = new Array[Int](rs.length)
+        // ⊗ over every mode is column-major, the order of DenseTensor.indices
+        val kr = bK.value.kron(e.idx, -1)
         var cell = 0
-        while (cell < acc.length) {
-          var rem = cell; var k = 0
-          while (k < rs.length) { cIdx(k) = rem % rs(k); rem /= rs(k); k += 1 }
-          var p = e.value
-          k = 0
-          while (k < rs.length) {
-            val (cols, data) = f(k)
-            p *= data(e.idx(k) * cols + cIdx(k))
-            k += 1
-          }
-          acc(cell) += p
-          cell += 1
-        }
+        while (cell < coreSize) { acc(cell) += e.value * kr(cell); cell += 1 }
         acc
       },
       combOp = { (x, y) =>
         var i = 0; while (i < x.length) { x(i) += y(i); i += 1 }; x
       })
-    bF.destroy(); bR.destroy()
-    val cells = repro.tensor.DenseTensor.indices(ranks).zipWithIndex
-      .map { case (idx, i) => CoreEntry(idx, g(i)) }.toArray
-    new CoreTensor(ranks.clone(), cells)
+    bK.destroy()
+    CoreTensor.fromDense(new DenseTensor(ranks.clone(), g))
   }
 
   /** Frobenius norm of entries via RDD (zero-filled semantics). */

@@ -13,7 +13,7 @@ import repro.tensor.SparseTensor
   *
   * Spark analog of the scan: each nonzero contributes
   * `x_α · ⊗_{k≠n} a^(k)_{i_k,:}` to row `i_n` of the implicit `Y_(n)`
-  * (`aggregateByKey`), the `L×L` Gram matrix is reduced where the rows live,
+  * (`combineByKey`), the `L×L` Gram matrix is reduced where the rows live,
   * and the driver only sees `O(J^{2(N-1)})` intermediate data — the same
   * asymptotic footprint the paper credits S-HOT with, versus P-Tucker's
   * `O(T·J²)`.

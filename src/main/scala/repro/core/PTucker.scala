@@ -10,13 +10,20 @@ import repro.tensor.{CoreTensor, SparseTensor, TensorEntry}
 /** Which Algorithm-2/3 variant to run (Section III-C). */
 sealed trait PTuckerVariant
 object PTuckerVariant {
-  /** Memory-optimized default: δ recomputed per (entry, core-cell) pair. */
+  /** Memory-optimized default: δ recomputed per entry, nothing cached. */
   case object Default extends PTuckerVariant
   /** Time-optimized: per-(α,β) products memoized in the Pres table. */
   case object Cache extends PTuckerVariant
   /** Time-optimized: "noisy" core cells truncated by R(β) each iteration. */
   case object Approx extends PTuckerVariant
 }
+
+/** Thrown when iteration `iter` produces a non-finite factor row or a
+  * non-finite Eq.-(6) error, for example from a NaN input value. Without it
+  * the fit would run on to `maxIters`: a NaN error never meets `tol`.
+  */
+final class PTuckerDivergedException(val iter: Int, detail: String)
+  extends ArithmeticException(s"P-Tucker diverged in iteration $iter: $detail")
 
 /** @param ranks          core dimensionality `J_1…J_N`
   * @param lambda         L2 regularization λ (paper default 0.01)
@@ -44,17 +51,15 @@ final case class PTuckerConfig(ranks: Array[Int],
   *
   * Parallelization mapping (DESIGN.md §2): the paper updates the rows of
   * `A^(n)` across OpenMP threads; here the per-row normal equations
-  * `(B_{i_n}, c_{i_n})` of Eq. (11)-(12) are assembled by `aggregateByKey`
+  * `(B_{i_n}, c_{i_n})` of Eq. (11)-(12) are assembled by `combineByKey`
   * keyed on the mode-`n` index — map-side combiners play the role of
   * per-thread partial sums, the shuffle is the paper's row aggregation, and
   * each reducer solves its `J_n×J_n` system (Eq. 10). The driver only ever
   * holds the factor matrices themselves (`I_n×J_n`, small by assumption).
+  * Every product of core cells and factor entries runs in [[ProductKernel]],
+  * broadcast as one object per mode.
   */
 object PTucker {
-
-  /** Flattened factor matrices for broadcast: `(cols, rowMajorData)` per mode. */
-  private type FactorData = Array[(Int, Array[Double])]
-  private type CoreCells = Array[(Array[Int], Double)]
 
   def fit(spark: SparkSession, tensor: SparseTensor, config: PTuckerConfig): TuckerModel = {
     val order = tensor.order
@@ -79,13 +84,12 @@ object PTucker {
     // Algorithm 3 lines 1-4: precompute the Pres cache table (Cache only).
     var pres: RDD[(TensorEntry, Array[Double])] =
       if (config.variant == PTuckerVariant.Cache) {
-        val bF = sc.broadcast(factorData(factors))
-        val bC = sc.broadcast(coreCells(core))
+        val bK = sc.broadcast(ProductKernel(factors, core))
         val p = entries
-          .map(e => (e, computePres(e.idx, bF.value, bC.value)))
+          .map(e => (e, bK.value.pres(e.idx)))
           .persist(StorageLevel.MEMORY_AND_DISK)
-        // Truncate the lineage: the cached table must not keep the factor
-        // broadcasts alive (we destroy them below) nor grow an unbounded
+        // Truncate the lineage: the cached table must not keep the kernel
+        // broadcast alive (released below) nor grow an unbounded
         // chain of patch closures across iterations.
         p.localCheckpoint()
         p.count()
@@ -93,9 +97,18 @@ object PTucker {
         // cached RDD even after checkpoint truncation, and task serialization
         // still writes the broadcast stub — destroy would poison every later
         // job over `pres`.
-        bF.unpersist(); bC.unpersist()
+        bK.unpersist()
         p
       } else null
+
+    def release(): Unit = {
+      entries.unpersist(blocking = false)
+      if (pres != null) pres.unpersist(blocking = false)
+    }
+    def diverged(iter: Int, detail: String): Nothing = {
+      release()
+      throw new PTuckerDivergedException(iter, detail)
+    }
 
     var history = Vector.empty[IterStat]
     var prevError = Double.MaxValue
@@ -108,42 +121,26 @@ object PTucker {
       var n = 0
       while (n < order) {
         val jn = config.ranks(n)
-        val bF = sc.broadcast(factorData(factors))
-        val bC = sc.broadcast(coreCells(core))
+        val mode = n
         val lambda = config.lambda
-
-        val solvedRows: scala.collection.Map[Int, Array[Double]] =
-          (if (config.variant == PTuckerVariant.Cache) {
-            val mode = n
-            // combineByKey, not aggregateByKey: the latter deserializes its
-            // zero value once per (key, partition), which dominates at high T
-            val seqOp = (acc: (Array[Double], Array[Double]), ep: (TensorEntry, Array[Double])) => {
-              val d = deltaFromPres(ep._1.idx, ep._2, mode, jn, bF.value, bC.value)
-              accumulate(acc, d, ep._1.value); acc
-            }
-            pres
-              .map { case (e, p) => (e.idx(mode), (e, p)) }
-              .combineByKey(
-                (ep: (TensorEntry, Array[Double])) =>
-                  seqOp((new Array[Double](jn * jn), new Array[Double](jn)), ep),
-                seqOp, mergeAcc _)
-              .mapValues(solveRow(_, jn, lambda))
-              .collectAsMap()
-          } else {
-            val mode = n
-            val seqOp = (acc: (Array[Double], Array[Double]), e: TensorEntry) => {
-              val d = computeDelta(e.idx, mode, jn, bF.value, bC.value)
-              accumulate(acc, d, e.value); acc
-            }
-            entries
-              .map(e => (e.idx(mode), e))
-              .combineByKey(
-                (e: TensorEntry) =>
-                  seqOp((new Array[Double](jn * jn), new Array[Double](jn)), e),
-                seqOp, mergeAcc _)
-              .mapValues(solveRow(_, jn, lambda))
-              .collectAsMap()
-          })
+        val bK = sc.broadcast(ProductKernel(factors, core))
+        // Without a Pres table (Default, Approx) δ comes from the kernel directly.
+        val rows = if (pres != null) pres else entries.map(e => (e, null: Array[Double]))
+        val seqOp = (acc: (Array[Double], Array[Double]), ep: (TensorEntry, Array[Double])) => {
+          val (e, p) = ep
+          val d = if (p == null) bK.value.delta(e.idx, mode) else bK.value.deltaFromPres(e.idx, p, mode)
+          accumulate(acc, d, e.value); acc
+        }
+        // combineByKey, not aggregateByKey: the latter deserializes its
+        // zero value once per (key, partition), which dominates at high T
+        val solvedRows = rows
+          .map(ep => (ep._1.idx(mode), ep))
+          .combineByKey(
+            (ep: (TensorEntry, Array[Double])) =>
+              seqOp((new Array[Double](jn * jn), new Array[Double](jn)), ep),
+            seqOp, mergeAcc _)
+          .mapValues(solveRow(_, jn, lambda))
+          .collectAsMap()
 
         // Driver-side row substitution. Rows with Ω^(n)_{i_n} = ∅ have
         // B = 0, c = 0, so Eq. (10) gives the zero row (pure regularization).
@@ -151,33 +148,31 @@ object PTucker {
         solvedRows.foreach { case (i, row) => updated.setRow(i, row) }
         val oldFactor = factors(n)
         factors(n) = updated
-        bF.destroy(); bC.destroy()
+        bK.destroy()
+        if (solvedRows.valuesIterator.exists(_.exists(v => !java.lang.Double.isFinite(v))))
+          diverged(iter + 1, s"mode $n solved a non-finite factor row")
 
         // Algorithm 3 lines 16-19: patch Pres multiplicatively for mode n.
         if (config.variant == PTuckerVariant.Cache) {
-          val bOld = sc.broadcast((oldFactor.cols, oldFactor.data))
-          val bNew = sc.broadcast((updated.cols, updated.data))
-          val bC2 = sc.broadcast(coreCells(core))
-          val bF2 = sc.broadcast(factorData(factors))
-          val mode = n
+          val bOld = sc.broadcast(oldFactor.data)
+          val bNew = sc.broadcast(ProductKernel(factors, core))
           val next = pres
-            .map { case (e, p) =>
-              (e, patchPres(e.idx, p, mode, bOld.value, bNew.value, bC2.value, bF2.value))
-            }
+            .map { case (e, p) => (e, bNew.value.patchPres(e.idx, p, mode, bOld.value)) }
             .persist(StorageLevel.MEMORY_AND_DISK)
           next.localCheckpoint() // sever the patch-closure chain (see above)
           next.count()
           pres.unpersist(blocking = false)
           pres = next
           // see the Pres-creation note: lineage closures keep these stubs
-          bOld.unpersist(); bNew.unpersist(); bC2.unpersist(); bF2.unpersist()
+          bOld.unpersist(); bNew.unpersist()
         }
         n += 1
       }
 
       // Algorithm 2 line 4: reconstruction error (Eq. 6) — fully parallel.
-      val sse = TuckerKernels.sumSquaredError(spark, entries, factors, core)
+      val sse = TuckerKernels.sumSquaredError(spark, entries, ProductKernel(factors, core))
       val error = math.sqrt(sse)
+      if (!java.lang.Double.isFinite(error)) diverged(iter + 1, s"reconstruction error $error")
 
       // Algorithm 2 lines 5-6 (+ Algorithm 4): truncate "noisy" core cells.
       if (config.variant == PTuckerVariant.Approx && core.nnz > 1) {
@@ -205,9 +200,7 @@ object PTucker {
       }
     }
 
-    entries.unpersist(blocking = false)
-    if (pres != null) pres.unpersist(blocking = false)
-
+    release()
     TuckerModel(tensor.dims, config.ranks, factors, core, history,
       meta = Map(
         "partitions" -> T.toDouble,
@@ -232,117 +225,8 @@ object PTucker {
   }
 
   // -------------------------------------------------------------------
-  // kernels (run inside tasks; everything reachable is plain arrays)
+  // row-update kernels (run inside tasks; the products are ProductKernel's)
   // -------------------------------------------------------------------
-
-  private def factorData(factors: Array[DenseMatrix]): FactorData =
-    factors.map(f => (f.cols, f.data))
-
-  private def coreCells(core: CoreTensor): CoreCells =
-    core.entries.map(e => (e.idx, e.value))
-
-  /** Eq. (13): δ^{(n)}_α — length-J_n vector; O(N) multiplies per core cell. */
-  private[core] def computeDelta(idx: Array[Int], n: Int, jn: Int,
-                                 f: FactorData, cells: CoreCells): Array[Double] = {
-    val out = new Array[Double](jn)
-    var b = 0
-    while (b < cells.length) {
-      val (cIdx, g) = cells(b)
-      var p = g
-      var k = 0
-      while (k < idx.length) {
-        if (k != n) {
-          val (cols, data) = f(k)
-          p *= data(idx(k) * cols + cIdx(k))
-        }
-        k += 1
-      }
-      out(cIdx(n)) += p
-      b += 1
-    }
-    out
-  }
-
-  /** Algorithm 3 line 4: `Pres[α][β] = G_β ∏_k a^{(k)}_{i_k j_k}`, aligned
-    * with the core-cell enumeration order.
-    */
-  private[core] def computePres(idx: Array[Int], f: FactorData, cells: CoreCells): Array[Double] = {
-    val out = new Array[Double](cells.length)
-    var b = 0
-    while (b < cells.length) {
-      val (cIdx, g) = cells(b)
-      var p = g
-      var k = 0
-      while (k < idx.length) {
-        val (cols, data) = f(k)
-        p *= data(idx(k) * cols + cIdx(k))
-        k += 1
-      }
-      out(b) = p
-      b += 1
-    }
-    out
-  }
-
-  /** Algorithm 3 line 12: δ from the cache — O(1) per core cell, falling
-    * back to the O(N) product when the stored mode-n entry is ~0.
-    */
-  private[core] def deltaFromPres(idx: Array[Int], p: Array[Double], n: Int, jn: Int,
-                                  f: FactorData, cells: CoreCells): Array[Double] = {
-    val out = new Array[Double](jn)
-    val (colsN, dataN) = f(n)
-    var b = 0
-    while (b < cells.length) {
-      val (cIdx, g) = cells(b)
-      val a = dataN(idx(n) * colsN + cIdx(n))
-      if (math.abs(a) > 1e-12) out(cIdx(n)) += p(b) / a
-      else {
-        // degenerate cell: recompute the product without mode n (paper note)
-        var prod = g
-        var k = 0
-        while (k < idx.length) {
-          if (k != n) {
-            val (cols, data) = f(k)
-            prod *= data(idx(k) * cols + cIdx(k))
-          }
-          k += 1
-        }
-        out(cIdx(n)) += prod
-      }
-      b += 1
-    }
-    out
-  }
-
-  /** Algorithm 3 line 19: `Pres *= a_new/a_old` for mode `n`, recomputing
-    * the full product when the old entry is ~0 (division is unsafe there).
-    */
-  private[core] def patchPres(idx: Array[Int], p: Array[Double], n: Int,
-                              oldF: (Int, Array[Double]), newF: (Int, Array[Double]),
-                              cells: CoreCells, allF: FactorData): Array[Double] = {
-    val out = new Array[Double](p.length)
-    val (colsO, dataO) = oldF
-    val (colsN, dataN) = newF
-    var b = 0
-    while (b < cells.length) {
-      val (cIdx, g) = cells(b)
-      val aOld = dataO(idx(n) * colsO + cIdx(n))
-      val aNew = dataN(idx(n) * colsN + cIdx(n))
-      if (math.abs(aOld) > 1e-12) out(b) = p(b) / aOld * aNew
-      else {
-        var prod = g
-        var k = 0
-        while (k < idx.length) {
-          val (cols, data) = allF(k)
-          prod *= data(idx(k) * cols + cIdx(k))
-          k += 1
-        }
-        out(b) = prod
-      }
-      b += 1
-    }
-    out
-  }
 
   /** Accumulates Eq. (11)-(12): `B += δδᵀ`, `c += x·δ` (mutates `acc`). */
   private[core] def accumulate(acc: (Array[Double], Array[Double]),
@@ -389,13 +273,11 @@ object PTucker {
     */
   private[core] def computeRBeta(spark: SparkSession, entries: RDD[TensorEntry],
                                  factors: Array[DenseMatrix], core: CoreTensor): Array[Double] = {
-    val bF = spark.sparkContext.broadcast(factorData(factors))
-    val bC = spark.sparkContext.broadcast(coreCells(core))
-    val nCells = core.nnz
+    val bK = spark.sparkContext.broadcast(ProductKernel(factors, core))
     try {
-      entries.treeAggregate(new Array[Double](nCells))(
+      entries.treeAggregate(new Array[Double](core.nnz))(
         seqOp = { (acc, e) =>
-          val ps = computePres(e.idx, bF.value, bC.value)
+          val ps = bK.value.pres(e.idx)
           var pred = 0.0
           var b = 0
           while (b < ps.length) { pred += ps(b); b += 1 }
@@ -411,6 +293,6 @@ object PTucker {
           while (i < x.length) { x(i) += y(i); i += 1 }
           x
         })
-    } finally { bF.destroy(); bC.destroy() }
+    } finally bK.destroy()
   }
 }

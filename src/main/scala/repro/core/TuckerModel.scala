@@ -8,6 +8,12 @@ import repro.tensor.{CoreTensor, SparseTensor, TensorEntry}
 /** Per-iteration record: wall time, Eq.-6 reconstruction error over the
   * training entries, fit = 1 - error/‖X‖, and the surviving core size
   * (shrinks only under P-Tucker-Approx).
+  *
+  * Under P-Tucker-Approx, `error` and `fit` are scored *before* that
+  * iteration's truncation (Algorithm 2 scores at line 4 and truncates at
+  * lines 5-6), while `coreNnz` counts the cells left *after* it. The model
+  * a fit returns holds the truncated core, so its reconstruction error can
+  * sit well above the last `error` here.
   */
 final case class IterStat(iter: Int, millis: Long, error: Double, fit: Double, coreNnz: Int)
 
@@ -23,15 +29,15 @@ final case class TuckerModel(dims: Array[Int], ranks: Array[Int],
 
   def order: Int = dims.length
 
+  @transient private lazy val kernel = ProductKernel(factors, core)
+
   /** Eq. (5): predicted value of cell `idx`. */
-  def predict(idx: Array[Int]): Double =
-    TuckerKernels.predict(idx, factors.map(f => (f.cols, f.data)),
-      core.entries.map(e => (e.idx, e.value)))
+  def predict(idx: Array[Int]): Double = kernel.predict(idx)
 
   /** Eq. (6) over the observed entries of `t`. */
   def reconstructionError(spark: SparkSession, t: SparseTensor, partitions: Int = 0): Double = {
     val p = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    math.sqrt(TuckerKernels.sumSquaredError(spark, t.entriesRdd(p), factors, core))
+    math.sqrt(TuckerKernels.sumSquaredError(spark, t.entriesRdd(p), kernel))
   }
 
   /** Root mean squared prediction error over held-out entries. */
@@ -40,7 +46,7 @@ final case class TuckerModel(dims: Array[Int], ranks: Array[Int],
     val rdd = t.entriesRdd(p)
     val n = rdd.count()
     require(n > 0, "empty test set")
-    math.sqrt(TuckerKernels.sumSquaredError(spark, rdd, factors, core) / n)
+    math.sqrt(TuckerKernels.sumSquaredError(spark, rdd, kernel) / n)
   }
 
   /** fit = 1 - ‖X - X'‖/‖X‖ over observed entries (Section IV-C). */
@@ -51,44 +57,16 @@ final case class TuckerModel(dims: Array[Int], ranks: Array[Int],
     if (history.isEmpty) 0.0 else history.map(_.millis).sum.toDouble / history.size
 }
 
-/** Shared distributed kernels over (entries ⊗ core-cells): prediction and
-  * squared-error sums. Factors/core travel as broadcast plain arrays to keep
-  * task closures small.
+/** The distributed Eq.-(6) pass; the per-entry prediction is the
+  * [[ProductKernel]]'s, broadcast as one object.
   */
 object TuckerKernels {
 
-  /** Eq. (5) for one cell, over plain arrays: `factorData(k) = (cols, rowMajor)`. */
-  def predict(idx: Array[Int], factorData: Array[(Int, Array[Double])],
-              coreCells: Array[(Array[Int], Double)]): Double = {
-    var v = 0.0
-    var b = 0
-    while (b < coreCells.length) {
-      val (cIdx, g) = coreCells(b)
-      var p = g
-      var k = 0
-      while (k < idx.length) {
-        val (cols, data) = factorData(k)
-        p *= data(idx(k) * cols + cIdx(k))
-        k += 1
-      }
-      v += p
-      b += 1
-    }
-    v
-  }
-
   /** `Σ_{α∈Ω} (x_α - x̂_α)²` — the inside of Eq. (6), distributed. */
   def sumSquaredError(spark: SparkSession, entries: RDD[TensorEntry],
-                      factors: Array[DenseMatrix], core: CoreTensor): Double = {
-    val bF = spark.sparkContext.broadcast(factors.map(f => (f.cols, f.data)))
-    val bC = spark.sparkContext.broadcast(core.entries.map(e => (e.idx, e.value)))
-    try {
-      entries
-        .map { e =>
-          val d = e.value - predict(e.idx, bF.value, bC.value)
-          d * d
-        }
-        .treeReduce(_ + _)
-    } finally { bF.destroy(); bC.destroy() }
+                      kernel: ProductKernel): Double = {
+    val bK = spark.sparkContext.broadcast(kernel)
+    try entries.map { e => val d = e.value - bK.value.predict(e.idx); d * d }.treeReduce(_ + _)
+    finally bK.destroy()
   }
 }

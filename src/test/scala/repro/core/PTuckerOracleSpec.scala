@@ -70,13 +70,12 @@ class PTuckerOracleSpec extends SparkSpec {
       nnz = 80, noiseSd = 0.0, seed = 8)
     val factors = Array.tabulate(3)(n => repro.linalg.DenseMatrix.rand(t.dims(n), 2, 50 + n))
     val core = repro.tensor.CoreTensor.rand(Array(2, 2, 2), 60)
-    val fd = factors.map(f => (f.cols, f.data))
-    val cc = core.entries.map(e => (e.idx, e.value))
+    val kernel = ProductKernel(factors, core)
 
     // Spark/kernel side: c per (i0, j)
     val cRows = t.collectEntries()
       .flatMap { case (idx, x) =>
-        val d = PTucker.computeDelta(idx, 0, 2, fd, cc)
+        val d = kernel.delta(idx, 0)
         d.indices.map(j => ((idx(0), j), x * d(j)))
       }
       .groupBy(_._1).map { case ((i0, j), vs) => Row(i0, j, vs.map(_._2).sum) }.toSeq

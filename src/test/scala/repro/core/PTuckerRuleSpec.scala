@@ -15,8 +15,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
   private val seed = 13L
   private val factors = Array.tabulate(3)(n => DenseMatrix.rand(dims(n), ranks(n), seed + n))
   private val core = CoreTensor.rand(ranks, seed + 100)
-  private val fd = factors.map(f => (f.cols, f.data))
-  private val cc = core.entries.map(e => (e.idx, e.value))
+  private val kernel = ProductKernel(factors, core)
 
   private val rng = new scala.util.Random(7)
   private val entries: Seq[(Array[Int], Double)] = (0 until 40).map { _ =>
@@ -40,18 +39,18 @@ class PTuckerRuleSpec extends AnyFunSuite {
       e.value * (0 until 3).map(k => factors(k)(idx(k), e.idx(k))).product
     }.sum
 
-  test("computeDelta matches the Eq. (13) reference for every entry and mode") {
+  test("kernel delta matches the Eq. (13) reference for every entry and mode") {
     for ((idx, _) <- entries; n <- 0 until 3) {
-      val got = PTucker.computeDelta(idx, n, ranks(n), fd, cc)
+      val got = kernel.delta(idx, n)
       val want = refDelta(idx, n)
       assert(got.zip(want).forall { case (a, b) => math.abs(a - b) < 1e-12 },
         s"delta mismatch at ${idx.toSeq} mode $n")
     }
   }
 
-  test("computePres matches G_β · ∏_k a^(k)") {
+  test("kernel pres matches G_β · ∏_k a^(k)") {
     for ((idx, _) <- entries.take(10)) {
-      val got = PTucker.computePres(idx, fd, cc)
+      val got = kernel.pres(idx)
       core.entries.zipWithIndex.foreach { case (e, b) =>
         val want = e.value * (0 until 3).map(k => factors(k)(idx(k), e.idx(k))).product
         assert(math.abs(got(b) - want) < 1e-12)
@@ -61,16 +60,16 @@ class PTuckerRuleSpec extends AnyFunSuite {
 
   test("sum of Pres over cells equals the Eq. (5) prediction") {
     for ((idx, _) <- entries.take(10)) {
-      val pres = PTucker.computePres(idx, fd, cc)
+      val pres = kernel.pres(idx)
       assert(math.abs(pres.sum - refPredict(idx)) < 1e-10)
     }
   }
 
-  test("deltaFromPres reproduces computeDelta when no factor entry is zero") {
+  test("deltaFromPres reproduces kernel delta when no factor entry is zero") {
     for ((idx, _) <- entries.take(10); n <- 0 until 3) {
-      val pres = PTucker.computePres(idx, fd, cc)
-      val viaCache = PTucker.deltaFromPres(idx, pres, n, ranks(n), fd, cc)
-      val direct = PTucker.computeDelta(idx, n, ranks(n), fd, cc)
+      val pres = kernel.pres(idx)
+      val viaCache = kernel.deltaFromPres(idx, pres, n)
+      val direct = kernel.delta(idx, n)
       assert(viaCache.zip(direct).forall { case (a, b) => math.abs(a - b) < 1e-9 })
     }
   }
@@ -78,24 +77,38 @@ class PTuckerRuleSpec extends AnyFunSuite {
   test("deltaFromPres falls back to recomputation at a zero factor entry") {
     val fzero = factors.map(_.copy)
     fzero(0)(2, 1) = 0.0
-    val fdz = fzero.map(f => (f.cols, f.data))
+    val kz = ProductKernel(fzero, core)
     val idx = Array(2, 1, 0)
-    val pres = PTucker.computePres(idx, fdz, cc) // some cells are exactly 0
-    val viaCache = PTucker.deltaFromPres(idx, pres, 0, ranks(0), fdz, cc)
-    val direct = PTucker.computeDelta(idx, 0, ranks(0), fdz, cc)
+    val pres = kz.pres(idx) // some cells are exactly 0
+    val viaCache = kz.deltaFromPres(idx, pres, 0)
+    val direct = kz.delta(idx, 0)
     assert(viaCache.zip(direct).forall { case (a, b) => math.abs(a - b) < 1e-9 })
   }
 
   test("patchPres: after a factor update, patched Pres equals fresh recomputation") {
     val updated = factors.map(_.copy)
     updated(1) = DenseMatrix.rand(dims(1), ranks(1), 999)
-    val fdNew = updated.map(f => (f.cols, f.data))
+    val kNew = ProductKernel(updated, core)
     for ((idx, _) <- entries.take(10)) {
-      val old = PTucker.computePres(idx, fd, cc)
-      val patched = PTucker.patchPres(idx, old, 1,
-        (factors(1).cols, factors(1).data), (updated(1).cols, updated(1).data), cc, fdNew)
-      val fresh = PTucker.computePres(idx, fdNew, cc)
+      val old = kernel.pres(idx)
+      val patched = kNew.patchPres(idx, old, 1, factors(1).data)
+      val fresh = kNew.pres(idx)
       assert(patched.zip(fresh).forall { case (a, b) => math.abs(a - b) < 1e-9 })
+    }
+  }
+
+  test("patchPres falls back to recomputation at a zero old factor entry") {
+    val fzero = factors.map(_.copy)
+    fzero(1)(1, 2) = 0.0
+    val idx = Array(2, 1, 0)
+    val old = ProductKernel(fzero, core).pres(idx) // the β_1 = 2 cells are exactly 0
+    val updated = fzero.map(_.copy)
+    updated(1) = DenseMatrix.rand(dims(1), ranks(1), 999)
+    val patched = ProductKernel(updated, core).patchPres(idx, old, 1, fzero(1).data)
+    core.entries.zipWithIndex.foreach { case (e, b) =>
+      val want = e.value * (0 until 3).map(k => updated(k)(idx(k), e.idx(k))).product
+      if (e.idx(1) == 2) assert(old(b) == 0.0 && want != 0.0)
+      assert(math.abs(patched(b) - want) < 1e-9, s"cell ${e.idx.toSeq}: ${patched(b)} vs $want")
     }
   }
 
@@ -104,7 +117,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     val acc = (new Array[Double](jn * jn), new Array[Double](jn))
     val mine = entries.filter(_._1(0) == 1)
     mine.foreach { case (idx, x) =>
-      PTucker.accumulate(acc, PTucker.computeDelta(idx, 0, jn, fd, cc), x)
+      PTucker.accumulate(acc, kernel.delta(idx, 0), x)
     }
     val bWant = Array.ofDim[Double](jn, jn)
     val cWant = new Array[Double](jn)
@@ -149,7 +162,7 @@ class PTuckerRuleSpec extends AnyFunSuite {
     assert(mine.nonEmpty)
     val acc = (new Array[Double](jn * jn), new Array[Double](jn))
     mine.foreach { case (idx, x) =>
-      PTucker.accumulate(acc, PTucker.computeDelta(idx, n, jn, fd, cc), x)
+      PTucker.accumulate(acc, kernel.delta(idx, n), x)
     }
     val row = PTucker.solveRow(acc, jn, lambda)
 

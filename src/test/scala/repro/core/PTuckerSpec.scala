@@ -72,6 +72,20 @@ class PTuckerSpec extends SparkSpec {
     assert(m.factors(0).row(0).exists(_ != 0.0))
   }
 
+  test("a NaN input value stops the fit with a typed error naming the iteration") {
+    val rng = new scala.util.Random(6)
+    val entries = (0 until 120).map { i =>
+      (Array(rng.nextInt(6), rng.nextInt(5), rng.nextInt(4)),
+        if (i == 17) Double.NaN else rng.nextDouble())
+    }
+    val t = SparseTensor.fromEntries(spark, Array(6, 5, 4), entries)
+    val e = intercept[PTuckerDivergedException] {
+      PTucker.fit(spark, t, PTuckerConfig(ranks = Array(2, 2, 2), maxIters = 5, partitions = 2))
+    }
+    assert(e.iter == 1)
+    assert(e.getMessage.contains("iteration 1"), e.getMessage)
+  }
+
   test("P-Tucker-Cache matches the default variant's trajectory") {
     val mc = PTucker.fit(spark, planted, baseConfig.copy(
       variant = PTuckerVariant.Cache, maxIters = 5))
