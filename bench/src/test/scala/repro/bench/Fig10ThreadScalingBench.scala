@@ -10,10 +10,9 @@ import repro.exp.{Harness, ScalabilityExperiments => S}
 class Fig10ThreadScalingBench extends SparkSpec {
 
   test("Fig 10: speed-up grows with partitions; memory model is linear in T") {
-    val rows = S.fig10Threads(spark)
-    Harness.emit(Harness.table(
-      "Fig 10 — thread scalability (paper: near-linear speed-up and memory up to T=20)",
-      Seq("Threads", "ms/iter", "speed-up", "intermediate data"), rows))
+    val table = S.fig10Threads(spark)
+    Harness.emit(table)
+    val rows = table.rows
     def speedup(r: Seq[String]) = r(2).replace("x", "").toDouble
     assert(speedup(rows.head) == 1.0)
     // more workers must help substantially by T=16 (JVM+Spark overheads keep

@@ -11,12 +11,10 @@ import repro.exp.{Harness, RealWorldExperiments => R}
 class Fig11AccuracyBench extends SparkSpec {
 
   test("Fig 11: P-Tucker beats the zero-filled methods on every dataset") {
-    val rows = R.fig11Accuracy(spark)
-    Harness.emit(Harness.table(
-      "Fig 11 — accuracy (paper: P-Tucker 1.4-4.8x less recon error, 1.4-4.3x less test RMSE)",
-      Seq("Dataset", "Method", "Recon error", "Test RMSE"), rows))
+    val table = R.fig11Accuracy(spark)
+    Harness.emit(table)
 
-    val byKey = rows.map(r => (r.head, r(1)) -> r).toMap
+    val byKey = table.rows.map(r => (r.head, r(1)) -> r).toMap
     def rmse(ds: String, m: String): Option[Double] = {
       val cell = byKey((ds, m))(3)
       if (cell == "O.O.M.") None else Some(cell.toDouble)

@@ -9,35 +9,33 @@ import repro.exp.{Harness, Method, ScalabilityExperiments => S}
   */
 class Fig6DataScalabilityBench extends SparkSpec {
 
-  private val hdr = "Config" +: Method.competitors.map(_.name)
-
   private def col(rows: Seq[Seq[String]], m: Method): Seq[String] = {
     val i = Method.competitors.indexOf(m) + 1
     rows.map(_(i))
   }
 
+  /** Prints the panel and returns its rows. */
+  private def rowsOf(table: Harness.Table): Seq[Seq[String]] = { Harness.emit(table); table.rows }
+
   private def ms(cell: String): Option[Double] =
     if (cell.contains("O.O.M.")) None else Some(cell.replace(" ms", "").toDouble)
 
   test("Fig 6(a): order sweep — wOPT hits O.O.M. at high order, P-Tucker always finishes") {
-    val rows = S.fig6Order(spark)
-    Harness.emit(Harness.table("Fig 6(a) — time/iter vs order (paper: P-Tucker fastest, wOPT O.O.M. N>=5)", hdr, rows))
+    val rows = rowsOf(S.fig6Order(spark))
     assert(col(rows, Method.PTuckerDefault).forall(ms(_).isDefined))
     assert(col(rows, Method.Wopt).last == "O.O.M.", "wOPT should O.O.M. at the largest order")
     assert(ms(col(rows, Method.Wopt).head).isDefined, "wOPT should still run at N=3")
   }
 
   test("Fig 6(b): dimensionality sweep — wOPT O.O.M. beyond smallest, sparse methods scale") {
-    val rows = S.fig6Dim(spark)
-    Harness.emit(Harness.table("Fig 6(b) — time/iter vs dimensionality (paper: wOPT O.O.M. I>=10^4)", hdr, rows))
+    val rows = rowsOf(S.fig6Dim(spark))
     for (m <- Seq(Method.PTuckerDefault, Method.SHot, Method.Csf))
       assert(col(rows, m).forall(ms(_).isDefined), s"${m.name} should finish all dims")
     assert(col(rows, Method.Wopt).drop(1).forall(_ == "O.O.M."))
   }
 
   test("Fig 6(c): |Ω| sweep — P-Tucker scales near-linearly in the nonzeros") {
-    val rows = S.fig6Nnz(spark)
-    Harness.emit(Harness.table("Fig 6(c) — time/iter vs |Ω| (paper: near-linear for P-Tucker)", hdr, rows))
+    val rows = rowsOf(S.fig6Nnz(spark))
     val pt = col(rows, Method.PTuckerDefault).flatMap(ms)
     assert(pt.size == 3)
     // 100x more nonzeros must not cost more than ~200x (near-linear with
@@ -47,8 +45,7 @@ class Fig6DataScalabilityBench extends SparkSpec {
   }
 
   test("Fig 6(d): rank sweep — all sparse methods finish every rank") {
-    val rows = S.fig6Rank(spark)
-    Harness.emit(Harness.table("Fig 6(d) — time/iter vs rank (paper: P-Tucker fastest, wOPT O.O.M.)", hdr, rows))
+    val rows = rowsOf(S.fig6Rank(spark))
     for (m <- Seq(Method.PTuckerDefault, Method.SHot, Method.Csf))
       assert(col(rows, m).forall(ms(_).isDefined), s"${m.name} should finish all ranks")
     // cost grows with J for P-Tucker (J^N term). Generous slack: at this

@@ -10,11 +10,9 @@ import repro.exp.{Harness, RealWorldExperiments => R}
 class Fig7RealWorldSpeedBench extends SparkSpec {
 
   test("Fig 7: speed on real-world substitutes — O.O.M. pattern matches the paper") {
-    val rows = R.fig7Speed(spark)
-    Harness.emit(Harness.table(
-      "Fig 7 — time/iter on real-world substitutes (paper: P-Tucker 1.7-275x faster; wOPT O.O.M. on Yahoo+MovieLens)",
-      Seq("Dataset", "P-Tucker", "P-Tucker-Approx", "S-HOT_scan", "Tucker-CSF", "Tucker-wOPT"),
-      rows))
+    val table = R.fig7Speed(spark)
+    Harness.emit(table)
+    val rows = table.rows
     val byName = rows.map(r => r.head -> r).toMap
     // wOPT: O.O.M. exactly on the two large rating tensors
     assert(byName("Yahoo-music*")(5) == "O.O.M.")

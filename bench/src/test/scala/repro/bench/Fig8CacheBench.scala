@@ -10,11 +10,9 @@ import repro.exp.{Harness, ScalabilityExperiments => S}
 class Fig8CacheBench extends SparkSpec {
 
   test("Fig 8: cache variant uses orders more intermediate memory; gap grows with order") {
-    val rows = S.fig8Cache(spark)
-    Harness.emit(Harness.table(
-      "Fig 8 — P-Tucker vs P-Tucker-Cache (paper: cache up to 1.7x faster, 29.5x more memory at N=10)",
-      Seq("Order", "P-Tucker ms/iter", "P-Tucker interm.", "Cache ms/iter", "Cache interm."),
-      rows))
+    val table = S.fig8Cache(spark)
+    Harness.emit(table)
+    val rows = table.rows
     def kib(s: String): Double = s.replace(" KiB", "").toDouble
     rows.foreach { r =>
       assert(kib(r(4)) > 10.0 * kib(r(2)),

@@ -10,10 +10,9 @@ import repro.exp.{Harness, ScalabilityExperiments => S}
 class Fig9ApproxBench extends SparkSpec {
 
   test("Fig 9: Approx iterations get cheaper as the core shrinks; fit trades off") {
-    val rows = S.fig9Approx(spark, iters = 12)
-    Harness.emit(Harness.table(
-      "Fig 9 — per-iteration time and fit (paper: Approx overtakes default by iter ~8, lower fit)",
-      Seq("Iter", "Default ms", "Default fit", "Approx ms", "Approx fit", "|G|"), rows))
+    val table = S.fig9Approx(spark)
+    Harness.emit(table)
+    val rows = table.rows
     val coreSizes = rows.map(_(5).toInt)
     assert(coreSizes.head < 512 && coreSizes.last < coreSizes.head,
       s"core should shrink monotonically-ish: $coreSizes")

@@ -4,16 +4,14 @@ import repro.SparkSpec
 import repro.exp.{DiscoveryExperiments => D, Harness, RealWorldExperiments => R, ScalabilityExperiments => S}
 
 /** Table I (Section I): the scalability matrix, measured rather than
-  * asserted. Paper: P-Tucker checks all four boxes; wOPT only accuracy;
-  * CSF scale+speed; S-HOT scale+speed+memory.
+  * asserted, against the paper's check-mark pattern (in the table title).
   */
 class Table1ScalabilityMatrixBench extends SparkSpec {
 
   test("Table I: measured matrix matches the paper's check-mark pattern") {
-    val rows = R.table1Matrix(spark)
-    Harness.emit(Harness.table("Table I — scalability matrix (measured; paper pattern in doc comment)",
-      Seq("Method", "Scale", "Speed", "Memory", "Accuracy"), rows))
-    val byName = rows.map(r => r.head -> r).toMap
+    val table = R.table1Matrix(spark)
+    Harness.emit(table)
+    val byName = table.rows.map(r => r.head -> r).toMap
     assert(byName("P-Tucker").drop(1) == Seq("yes", "yes", "yes", "yes"))
     assert(byName("Tucker-wOPT")(4) == "yes", "wOPT is the accuracy-focused method")
     assert(byName("Tucker-wOPT")(1) == "-", "wOPT cannot scale (dense O(I^N))")
@@ -27,12 +25,10 @@ class Table1ScalabilityMatrixBench extends SparkSpec {
 class Table3ComplexityBench extends SparkSpec {
 
   test("Table III: measured time ratios track the O(NIJ^3 + N^2|Ω|J^N) model") {
-    val rows = S.table3Complexity(spark)
-    Harness.emit(Harness.table(
-      "Table III — P-Tucker time vs complexity model (measured vs predicted growth)",
-      Seq("Variation", "ms/iter", "measured ratio", "predicted ratio"), rows))
+    val table = S.table3Complexity(spark)
+    Harness.emit(table)
     def ratio(r: Seq[String]) = r(2).replace("x", "").toDouble
-    val byLabel = rows.map(r => r.head -> r).toMap
+    val byLabel = table.rows.map(r => r.head -> r).toMap
     // doubling |Ω| roughly doubles the work (within Spark overhead slack)
     assert(ratio(byLabel("|Ω| x2")) > 1.3, s"|Ω| x2: ${byLabel("|Ω| x2")}")
     // J 6→12 is the dominant J^N blow-up: must be clearly superlinear
@@ -48,15 +44,14 @@ class Table3ComplexityBench extends SparkSpec {
 class Table4DatasetsBench extends SparkSpec {
 
   test("Table IV: substitute datasets have the documented shapes") {
-    val rows = R.table4(spark)
-    Harness.emit(Harness.table("Table IV — datasets (ours* vs paper originals)",
-      Seq("Name", "Order", "Dims", "|Ω|", "Rank", "Paper dims", "Paper |Ω|", "Paper rank"), rows))
-    val byName = rows.map(r => r.head -> r).toMap
+    val table = R.table4(spark)
+    Harness.emit(table)
+    val byName = table.rows.map(r => r.head -> r).toMap
     assert(byName("Yahoo-music*")(1) == "4")
     assert(byName("MovieLens*")(1) == "4")
     assert(byName("Video (Wave)*")(2) == "(112, 160, 3, 32)", "video keeps the paper's dims")
     assert(byName("Image (Lena)*")(2) == "(256, 256, 3)", "image keeps the paper's dims")
-    rows.foreach(r => assert(r(3).toLong > 1000, s"${r.head} too small"))
+    table.rows.foreach(r => assert(r(3).toLong > 1000, s"${r.head} too small"))
   }
 }
 
@@ -68,21 +63,17 @@ class Table5And6DiscoveryBench extends SparkSpec {
   private lazy val model = D.fitModel(spark)
 
   test("Table V: K-means concepts recover planted genres") {
-    val (rows, purity) = D.table5Concepts(model)
-    Harness.emit(Harness.table(
-      f"Table V — movie concepts (overall purity $purity%.2f; paper found Thriller/Comedy/Drama)",
-      Seq("Concept", "Size", "Purity", "Sample movies"), rows))
+    val (table, purity) = D.table5Concepts(model)
+    Harness.emit(table)
     assert(purity > 0.5, s"genre purity $purity")
-    assert(rows.nonEmpty && rows.head(2).toDouble > 0.5,
-      s"largest concept should be genre-dominated: ${rows.headOption}")
+    assert(table.rows.nonEmpty && table.rows.head(2).toDouble > 0.5,
+      s"largest concept should be genre-dominated: ${table.rows.headOption}")
   }
 
   test("Table VI: top core cells align with planted genre-hour relations") {
-    val (rows, aligned) = D.table6Relations(model)
-    Harness.emit(Harness.table(
-      s"Table VI — relations ($aligned/3 aligned; paper found Drama-Hour, Comedy-Year, Year-Hour)",
-      Seq("Relation", "G value", "Genre", "Top hours", "Top years", "Alignment"), rows))
-    assert(rows.size == 3)
+    val (table, aligned) = D.table6Relations(model)
+    Harness.emit(table)
+    assert(table.rows.size == 3)
     assert(aligned >= 1, s"at least one top relation should match planted hours; got $aligned")
   }
 }

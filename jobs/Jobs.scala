@@ -1,128 +1,43 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.exp._
+import repro.exp.{DiscoveryExperiments => D, Harness, RealWorldExperiments => R, ScalabilityExperiments => S}
 
-/** spark-submit entrypoints — one per reproduced table/figure. Each prints
-  * the same markdown table its bench twin asserts on:
+/** spark-submit entrypoint for every reproduced table and figure. Prints the
+  * exhibit tables the bench suites assert on:
   *
-  *   spark-submit --class repro.jobs.Fig6DataScalability repro.jar
-  *   sbt "runMain repro.jobs.Table5Concepts"
+  *   spark-submit --class repro.jobs.Run repro.jar fig6
+  *   sbt "runMain repro.jobs.Run table5"
   */
-private[jobs] object JobSession {
-  def withSpark[A](name: String)(f: SparkSession => A): A = {
+object Run {
+
+  /** Exhibit id → the tables it prints, in paper order. */
+  val exhibits: Seq[(String, SparkSession => Seq[Harness.Table])] = Seq(
+    "table1" -> (spark => Seq(R.table1Matrix(spark))),
+    "table3" -> (spark => Seq(S.table3Complexity(spark))),
+    "table4" -> (spark => Seq(R.table4(spark))),
+    "table5" -> (spark => Seq(D.table5Concepts(D.fitModel(spark))._1)),
+    "table6" -> (spark => Seq(D.table6Relations(D.fitModel(spark))._1)),
+    "fig6" -> (spark => Seq(S.fig6Order(spark), S.fig6Dim(spark), S.fig6Nnz(spark), S.fig6Rank(spark))),
+    "fig7" -> (spark => Seq(R.fig7Speed(spark))),
+    "fig8" -> (spark => Seq(S.fig8Cache(spark))),
+    "fig9" -> (spark => Seq(S.fig9Approx(spark))),
+    "fig10" -> (spark => Seq(S.fig10Threads(spark))),
+    "fig11" -> (spark => Seq(R.fig11Accuracy(spark))),
+  )
+
+  def exhibit(id: String): SparkSession => Seq[Harness.Table] =
+    exhibits.find(_._1 == id).map(_._2).getOrElse(throw new IllegalArgumentException(
+      s"unknown exhibit '$id'; valid ids: ${exhibits.map(_._1).mkString(", ")}"))
+
+  def main(args: Array[String]): Unit = {
+    require(args.length == 1, s"usage: repro.jobs.Run <id>, id one of ${exhibits.map(_._1).mkString(", ")}")
+    val run = exhibit(args(0))
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(name)
+      .appName(s"repro-${args(0)}")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    try f(spark) finally spark.stop()
-  }
-}
-
-/** Table I: measured scalability matrix. */
-object Table1ScalabilityMatrix {
-  def main(args: Array[String]): Unit = JobSession.withSpark("table1") { spark =>
-    Harness.emit(Harness.table("Table I — scalability matrix (measured)",
-      Seq("Method", "Scale", "Speed", "Memory", "Accuracy"),
-      RealWorldExperiments.table1Matrix(spark)))
-  }
-}
-
-/** Table III: empirical complexity-model check. */
-object Table3Complexity {
-  def main(args: Array[String]): Unit = JobSession.withSpark("table3") { spark =>
-    Harness.emit(Harness.table("Table III — P-Tucker time vs complexity model",
-      Seq("Variation", "ms/iter", "measured ratio", "predicted ratio"),
-      ScalabilityExperiments.table3Complexity(spark)))
-  }
-}
-
-/** Table IV: dataset summary (substitutes vs paper originals). */
-object Table4Datasets {
-  def main(args: Array[String]): Unit = JobSession.withSpark("table4") { spark =>
-    Harness.emit(Harness.table("Table IV — datasets (ours* vs paper)",
-      Seq("Name", "Order", "Dims", "|Ω|", "Rank", "Paper dims", "Paper |Ω|", "Paper rank"),
-      RealWorldExperiments.table4(spark)))
-  }
-}
-
-/** Table V: concept discovery on the MovieLens substitute. */
-object Table5Concepts {
-  def main(args: Array[String]): Unit = JobSession.withSpark("table5") { spark =>
-    val model = DiscoveryExperiments.fitModel(spark)
-    val (rows, purity) = DiscoveryExperiments.table5Concepts(model)
-    Harness.emit(Harness.table(f"Table V — movie concepts (overall purity $purity%.2f)",
-      Seq("Concept", "Size", "Purity", "Sample movies"), rows))
-  }
-}
-
-/** Table VI: relation discovery on the MovieLens substitute. */
-object Table6Relations {
-  def main(args: Array[String]): Unit = JobSession.withSpark("table6") { spark =>
-    val model = DiscoveryExperiments.fitModel(spark)
-    val (rows, aligned) = DiscoveryExperiments.table6Relations(model)
-    Harness.emit(Harness.table(s"Table VI — relations ($aligned/3 aligned with planted structure)",
-      Seq("Relation", "G value", "Genre", "Top hours", "Top years", "Alignment"), rows))
-  }
-}
-
-/** Fig 6: data scalability (order / dimensionality / |Ω| / rank sweeps). */
-object Fig6DataScalability {
-  def main(args: Array[String]): Unit = JobSession.withSpark("fig6") { spark =>
-    val hdr = "Config" +: Method.competitors.map(_.name)
-    Harness.emit(Harness.table("Fig 6(a) — time/iter vs order", hdr,
-      ScalabilityExperiments.fig6Order(spark)))
-    Harness.emit(Harness.table("Fig 6(b) — time/iter vs dimensionality", hdr,
-      ScalabilityExperiments.fig6Dim(spark)))
-    Harness.emit(Harness.table("Fig 6(c) — time/iter vs |Ω|", hdr,
-      ScalabilityExperiments.fig6Nnz(spark)))
-    Harness.emit(Harness.table("Fig 6(d) — time/iter vs rank", hdr,
-      ScalabilityExperiments.fig6Rank(spark)))
-  }
-}
-
-/** Fig 7: speed on the real-world substitutes. */
-object Fig7RealWorldSpeed {
-  def main(args: Array[String]): Unit = JobSession.withSpark("fig7") { spark =>
-    Harness.emit(Harness.table("Fig 7 — time/iter on real-world substitutes",
-      Seq("Dataset", "P-Tucker", "P-Tucker-Approx", "S-HOT_scan", "Tucker-CSF", "Tucker-wOPT"),
-      RealWorldExperiments.fig7Speed(spark)))
-  }
-}
-
-/** Fig 8: P-Tucker vs P-Tucker-Cache (time and memory). */
-object Fig8Cache {
-  def main(args: Array[String]): Unit = JobSession.withSpark("fig8") { spark =>
-    Harness.emit(Harness.table("Fig 8 — P-Tucker vs P-Tucker-Cache",
-      Seq("Order", "P-Tucker ms/iter", "P-Tucker interm.", "Cache ms/iter", "Cache interm."),
-      ScalabilityExperiments.fig8Cache(spark)))
-  }
-}
-
-/** Fig 9: P-Tucker vs P-Tucker-Approx per-iteration trade-off. */
-object Fig9Approx {
-  def main(args: Array[String]): Unit = JobSession.withSpark("fig9") { spark =>
-    Harness.emit(Harness.table("Fig 9 — P-Tucker vs P-Tucker-Approx per iteration",
-      Seq("Iter", "Default ms", "Default fit", "Approx ms", "Approx fit", "|G|"),
-      ScalabilityExperiments.fig9Approx(spark)))
-  }
-}
-
-/** Fig 10: parallelization scalability (T = entry-RDD partitions). */
-object Fig10ThreadScaling {
-  def main(args: Array[String]): Unit = JobSession.withSpark("fig10") { spark =>
-    Harness.emit(Harness.table("Fig 10 — thread scalability",
-      Seq("Threads", "ms/iter", "speed-up", "intermediate data"),
-      ScalabilityExperiments.fig10Threads(spark)))
-  }
-}
-
-/** Fig 11: accuracy (reconstruction error + test RMSE) on the substitutes. */
-object Fig11Accuracy {
-  def main(args: Array[String]): Unit = JobSession.withSpark("fig11") { spark =>
-    Harness.emit(Harness.table("Fig 11 — accuracy on real-world substitutes",
-      Seq("Dataset", "Method", "Recon error", "Test RMSE"),
-      RealWorldExperiments.fig11Accuracy(spark)))
+    try run(spark).foreach(Harness.emit) finally spark.stop()
   }
 }

@@ -6,8 +6,8 @@ import repro.core.ProductKernel
 import repro.linalg.DenseMatrix
 import repro.tensor.{CoreTensor, SparseTensor}
 
-/** Synthetic sparse-tensor generators — the tensor-shaped extension of
-  * [[SynthData]] (DESIGN.md §5 documents each substitution).
+/** Synthetic sparse-tensor generators (DESIGN.md §5 documents each
+  * substitution).
   *
   * The paper evaluates on two proprietary/external rating tensors
   * (Yahoo-music, MovieLens), two sampled media tensors (video, image) and

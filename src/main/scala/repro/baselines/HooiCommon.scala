@@ -2,23 +2,74 @@ package repro.baselines
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import repro.core.ProductKernel
+import org.apache.spark.storage.StorageLevel
+import repro.core.{IterStat, ProductKernel, TuckerModel}
 import repro.linalg.DenseMatrix
-import repro.tensor.{CoreTensor, DenseTensor, TensorEntry}
+import repro.tensor.{CoreTensor, DenseTensor, SparseTensor, TensorEntry}
 
-/** Shared machinery for the sparse zero-filled HOOI competitors
-  * ([[SHotScan]], [[TuckerCsf]]): both produce the TTMc rows
-  * `y_{i_n} = Σ_{α ∈ Ω^(n)_{i_n}} x_α · (⊗_{k≠n} a^(k)_{i_k,:})`
-  * (each by its own strategy) and then need the `J_n` leading left singular
-  * vectors of the implicit `Y_(n)` without materializing it on the driver.
+/** The HOOI sweep (Algorithm 1, missing entries as zeros) shared by the
+  * sparse competitors [[SHotScan]] and [[TuckerCsf]]. They differ only in
+  * how they build the TTMc rows
+  * `y_{i_n} = Σ_{α ∈ Ω^(n)_{i_n}} x_α · (⊗_{k≠n} a^(k)_{i_k,:})`; [[fit]]
+  * takes that step as its one parameter and runs everything else.
   *
-  * The factorization path is the scan-friendly Gram route: `M = Y_(n)ᵀY_(n)`
-  * (`L×L`, `L = ∏_{k≠n} J_k` — small) accumulated by `treeAggregate`, a
-  * Jacobi eigendecomposition of `M` on the driver, then per-row
-  * `u_i = y_i V_r Σ_r^{-1}` computed where the rows live. Only `M` and the
-  * `I_n×J_n` factor ever reach the driver.
+  * From the rows, the `J_n` leading left singular vectors of the implicit
+  * `Y_(n)` come by the scan-friendly Gram route, without materializing `Y_(n)`
+  * on the driver: `M = Y_(n)ᵀY_(n)` (`L×L`, `L = ∏_{k≠n} J_k` — small)
+  * accumulated by `treeAggregate`, a Jacobi eigendecomposition of `M` on the
+  * driver, then per-row `u_i = y_i V_r Σ_r^{-1}` computed where the rows
+  * live. Only `M` and the `I_n×J_n` factor ever reach the driver.
   */
 object HooiCommon {
+
+  /** A TTMc-rows step over one partition: `(entries, mode n,
+    * L = ∏_{k≠n} J_k, factors)` to partial rows `(i_n, y)` of `Y_(n)`, each
+    * of length `L` in [[kronOffset]]'s layout. [[fit]] sums them per `i_n`.
+    */
+  type TtmcRows = (Iterator[TensorEntry], Int, Int, Array[DenseMatrix]) => Iterator[(Int, Array[Double])]
+
+  /** Algorithm 1 on the nonzeros of `tensor`: QR-orthonormalised random
+    * factors, `maxIters` sweeps over the modes (each one TTMc scan, then
+    * [[factorFromRows]]), then the core by [[coreFromEntries]]. Ranks are
+    * checked before the first scan.
+    */
+  def fit(spark: SparkSession, tensor: SparseTensor, ranks: Array[Int], maxIters: Int,
+          partitions: Int, seed: Long)(ttmcRows: TtmcRows): TuckerModel = {
+    val order = tensor.order
+    require(ranks.length == order, s"${ranks.length} ranks for an order-$order tensor")
+    val kronLens = Array.tabulate(order)(n => ranks.indices.filter(_ != n).map(ranks).product)
+    for (n <- 0 until order) {
+      require(ranks(n) >= 1 && ranks(n) <= tensor.dims(n),
+        s"mode $n: rank ${ranks(n)} outside [1, I_$n = ${tensor.dims(n)}]")
+      require(ranks(n) <= kronLens(n),
+        s"mode $n: rank ${ranks(n)} > ∏_{k≠$n} J_k = ${kronLens(n)}")
+    }
+    val T = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
+    val entries = tensor.entriesRdd(T).persist(StorageLevel.MEMORY_AND_DISK)
+    try {
+      entries.count()
+      val factors = Array.tabulate(order)(n =>
+        DenseMatrix.qr(DenseMatrix.rand(tensor.dims(n), ranks(n), seed + n))._1)
+      val history = (1 to maxIters).map { it =>
+        val t0 = System.nanoTime()
+        for (n <- 0 until order) {
+          val kronLen = kronLens(n)
+          val bF = spark.sparkContext.broadcast(factors)
+          try {
+            val rows = entries
+              .mapPartitions(part => ttmcRows(part, n, kronLen, bF.value))
+              .reduceByKey { (x, y) =>
+                var i = 0; while (i < x.length) { x(i) += y(i); i += 1 }; x
+              }
+            factors(n) = factorFromRows(spark, rows, tensor.dims(n), kronLen, ranks(n))
+          } finally bF.destroy()
+        }
+        IterStat(it, (System.nanoTime() - t0) / 1000000L, Double.NaN, Double.NaN, ranks.product)
+      }.toVector
+      val core = coreFromEntries(spark, entries, factors, ranks)
+      TuckerModel(tensor.dims, ranks, factors, core, history)
+    } finally entries.unpersist(blocking = false)
+  }
 
   /** Kronecker index layout for `⊗_{k≠n}`: position of a core multi-index
     * restricted to modes ≠ n, with mode order ascending and the *first*
@@ -33,41 +84,9 @@ object HooiCommon {
     off
   }
 
-  /** `x · (⊗_{k≠n} a^(k)_{i_k,:})` accumulated into `acc` (length
-    * `∏_{k≠n} J_k`), built by repeated outer products — the naive per-entry
-    * TTMc kernel S-HOT scans with.
-    */
-  def accumulateKron(acc: Array[Double], e: TensorEntry, n: Int,
-                     factorRows: Array[Array[Double]]): Unit = {
-    // factorRows(k) = a^(k)_{i_k,:} for k != n (null at k == n)
-    var cur = Array(e.value)
-    var k = 0
-    while (k < factorRows.length) {
-      if (k != n) {
-        val row = factorRows(k)
-        val next = new Array[Double](cur.length * row.length)
-        var j = 0
-        while (j < row.length) {
-          val w = row(j)
-          if (w != 0.0) {
-            var i = 0
-            while (i < cur.length) { next(j * cur.length + i) += w * cur(i); i += 1 }
-          }
-          j += 1
-        }
-        cur = next
-      }
-      k += 1
-    }
-    var i = 0
-    while (i < acc.length) { acc(i) += cur(i); i += 1 }
-  }
-
   /** From distributed TTMc rows to the updated (orthonormal) factor matrix. */
   def factorFromRows(spark: SparkSession, rows: RDD[(Int, Array[Double])],
                      iN: Int, kronLen: Int, rank: Int): DenseMatrix = {
-    require(rank <= math.min(iN, kronLen),
-      s"rank $rank > min(I=$iN, L=$kronLen)")
     // M = Yᵀ Y, accumulated where the rows live.
     val m = rows.treeAggregate(new Array[Double](kronLen * kronLen))(
       seqOp = { case (acc, (_, y)) =>
@@ -135,8 +154,4 @@ object HooiCommon {
     bK.destroy()
     CoreTensor.fromDense(new DenseTensor(ranks.clone(), g))
   }
-
-  /** Frobenius norm of entries via RDD (zero-filled semantics). */
-  def norm(entries: RDD[TensorEntry]): Double =
-    math.sqrt(entries.map(e => e.value * e.value).treeReduce(_ + _))
 }

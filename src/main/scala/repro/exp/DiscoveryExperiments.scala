@@ -30,10 +30,11 @@ object DiscoveryExperiments {
 
   private def genreName(g: Int) = TensorGen.Genres(g)
 
-  /** Table V: K-means clusters over the movie-mode factor rows, with the
-    * planted genre as ground truth. Returns (rows, overall purity).
+  /** Table V: K-means clusters (k = 12) over the movie-mode factor rows,
+    * with the planted genre as ground truth. Returns (table, overall purity).
     */
-  def table5Concepts(model: TuckerModel, k: Int = 12): (Seq[Seq[String]], Double) = {
+  def table5Concepts(model: TuckerModel): (Harness.Table, Double) = {
+    val k = 12
     val labels = Array.tabulate(Movies)(m => TensorGen.movieGenre(m, Movies))
     val movieFactor = model.factors(1)
     val purity = ConceptDiscovery.overallPurity(movieFactor, k, labels)
@@ -42,16 +43,17 @@ object DiscoveryExperiments {
       Seq(s"C${i + 1}: ${genreName(c.dominantLabel)}", c.size.toString,
         f"${c.purity}%.2f", c.sampleIndices.map(m => s"movie#$m").mkString(", "))
     }
-    (rows, purity)
+    (Harness.Table(f"Table V — movie concepts (overall purity $purity%.2f; paper found Thriller/Comedy/Drama)",
+      Seq("Concept", "Size", "Purity", "Sample movies"), rows), purity)
   }
 
   /** Table VI: the top-|G|-value core cells read as relations between the
     * implicated factor columns; alignment = overlap of the hour-mode
     * column's top hours with the planted preferred hours of the genre that
-    * dominates the movie-mode column. Returns (rows, #aligned of topK).
+    * dominates the movie-mode column. Returns (table, #aligned of the top 3).
     */
-  def table6Relations(model: TuckerModel, topK: Int = 3): (Seq[Seq[String]], Int) = {
-    val rels = RelationDiscovery.topRelations(model, topK, attrsPerMode = 5)
+  def table6Relations(model: TuckerModel): (Harness.Table, Int) = {
+    val rels = RelationDiscovery.topRelations(model, 3, attrsPerMode = 5)
     var aligned = 0
     val rows = rels.zipWithIndex.map { case (r, i) =>
       val genreOfTop = r.topAttributes(1).map(m => TensorGen.movieGenre(m, Movies))
@@ -65,6 +67,7 @@ object DiscoveryExperiments {
         topHours.mkString("hours{", ",", "}"), topYears.mkString("years{", ",", "}"),
         s"$overlap/5 planted hours")
     }
-    (rows, aligned)
+    (Harness.Table(s"Table VI — relations ($aligned/3 aligned; paper found Drama-Hour, Comedy-Year, Year-Hour)",
+      Seq("Relation", "G value", "Genre", "Top hours", "Top years", "Alignment"), rows), aligned)
   }
 }

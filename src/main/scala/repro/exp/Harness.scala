@@ -16,7 +16,6 @@ object Method {
   case object Wopt           extends Method("Tucker-wOPT")
 
   val competitors: Seq[Method] = Seq(PTuckerDefault, SHot, Csf, Wopt)
-  val all: Seq[Method] = Seq(PTuckerDefault, PTuckerCache, PTuckerApprox, SHot, Csf, Wopt)
 }
 
 /** One benchmark measurement: either a fitted model with timing, or the
@@ -28,9 +27,10 @@ final case class RunResult(method: Method, model: Option[TuckerModel], oom: Bool
   def cell: String = msPerIter.map(ms => f"$ms%.0f ms").getOrElse("O.O.M.")
 }
 
-/** Shared experiment machinery: run-one-method dispatch and markdown table
-  * rendering (bench suites print these tables; EXPERIMENTS.md records them
-  * next to the paper's numbers).
+/** Shared experiment machinery: run-one-method dispatch and the exhibit
+  * tables every runner returns (bench suites assert on and print them, the
+  * `repro.jobs.Run` dispatcher prints them; EXPERIMENTS.md records them next
+  * to the paper's numbers).
   */
 object Harness {
 
@@ -55,16 +55,22 @@ object Harness {
     }
   }
 
-  /** Renders a GitHub-markdown table. */
-  def table(title: String, headers: Seq[String], rows: Seq[Seq[String]]): String = {
-    val sb = new StringBuilder
-    sb.append(s"\n### $title\n\n")
-    sb.append(headers.mkString("| ", " | ", " |")).append('\n')
-    sb.append(headers.map(_ => "---").mkString("| ", " | ", " |")).append('\n')
-    rows.foreach(r => sb.append(r.mkString("| ", " | ", " |")).append('\n'))
-    sb.toString
+  /** One paper exhibit (a table, or one panel of a figure): its title, which
+    * states the paper's shape, its column headers and the measured rows.
+    */
+  final case class Table(title: String, headers: Seq[String], rows: Seq[Seq[String]]) {
+
+    /** GitHub markdown. */
+    def markdown: String = {
+      val sb = new StringBuilder
+      sb.append(s"\n### $title\n\n")
+      sb.append(headers.mkString("| ", " | ", " |")).append('\n')
+      sb.append(headers.map(_ => "---").mkString("| ", " | ", " |")).append('\n')
+      rows.foreach(r => sb.append(r.mkString("| ", " | ", " |")).append('\n'))
+      sb.toString
+    }
   }
 
-  /** Prints to stdout (captured by `tee` into bench_output.txt). */
-  def emit(s: String): Unit = { println(s); Console.out.flush() }
+  /** Prints the table to stdout (captured by `tee` into bench_output.txt). */
+  def emit(t: Table): Unit = { println(t.markdown); Console.out.flush() }
 }

@@ -21,12 +21,6 @@ final class CoreTensor(val dims: Array[Int], val entries: Array[CoreEntry]) exte
     t
   }
 
-  /** Replaces cell values, keeping the alive set. */
-  def withValues(values: Array[Double]): CoreTensor = {
-    require(values.length == entries.length)
-    new CoreTensor(dims, entries.zip(values).map { case (e, v) => CoreEntry(e.idx, v) })
-  }
-
   /** Algorithm 4, line 4: drop the `count` cells with the largest partial
     * reconstruction error `R(β)` ("noisy" cells).
     */

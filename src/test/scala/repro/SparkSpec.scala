@@ -16,6 +16,18 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The `IllegalArgumentException` that `f` throws, checking that `f`
+    * started no Spark job before throwing it.
+    */
+  def rejectedBeforeAnyJob(f: => Any): IllegalArgumentException = {
+    val group = s"rejected-${java.util.UUID.randomUUID}"
+    spark.sparkContext.setJobGroup(group, "input validation")
+    val e = try intercept[IllegalArgumentException](f) finally spark.sparkContext.clearJobGroup()
+    assert(spark.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty,
+      s"a Spark job ran before the input was rejected (${e.getMessage})")
+    e
+  }
 }
 
 object SparkSpec {

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.{SparkSpec, TensorGen}
 import repro.linalg.DenseMatrix
-import repro.tensor.{DenseTensor, SparseTensor, TensorEntry}
+import repro.tensor.{DenseTensor, SparseTensor}
 
 /** S-HOT must compute the same math as dense HOOI (both are Algorithm 1 with
   * zeros for missing entries) — only the evaluation strategy differs.
@@ -37,22 +37,15 @@ class SHotScanSpec extends SparkSpec {
     shot.factors.foreach(f => assert(f.gram.maxAbsDiff(DenseMatrix.eye(f.cols)) < 1e-8))
   }
 
-  test("accumulateKron equals an explicit Kronecker product") {
-    val ranks = Array(2, 3, 2)
-    val factorRows: Array[Array[Double]] = Array(
-      null, Array(1.0, 2.0, 3.0), Array(4.0, 5.0))
-    val e = TensorEntry(Array(0, 0, 0), 2.0)
-    val acc = new Array[Double](6)
-    HooiCommon.accumulateKron(acc, e, 0, factorRows)
-    // layout: first non-target mode fastest → index = j1 + 3*j2
-    for (j1 <- 0 until 3; j2 <- 0 until 2) {
-      val want = 2.0 * factorRows(1)(j1) * factorRows(2)(j2)
-      assert(math.abs(acc(j1 + 3 * j2) - want) < 1e-12)
-    }
-    val _ = ranks
+  test("a rank above its dimension or its Kronecker length fails before the first scan, naming the mode") {
+    val t = tensor // dims (12, 10, 8); generated before counting jobs
+    val aboveDim = rejectedBeforeAnyJob(SHotScan.fit(spark, t, Array(2, 2, 9), maxIters = 1))
+    assert(aboveDim.getMessage.contains("mode 2"), aboveDim.getMessage)
+    val aboveKron = rejectedBeforeAnyJob(SHotScan.fit(spark, t, Array(1, 1, 2), maxIters = 1))
+    assert(aboveKron.getMessage.contains("mode 2"), aboveKron.getMessage)
   }
 
-  test("kronOffset agrees with accumulateKron's layout") {
+  test("kronOffset puts the first non-target mode fastest") {
     val ranks = Array(2, 3, 2)
     // mode 0 excluded: offset of (j1, j2) must be j1 + 3*j2
     assert(HooiCommon.kronOffset(Array(9, 1, 0), ranks, 0) == 1)
@@ -71,10 +64,5 @@ class SHotScanSpec extends SparkSpec {
       }.sum
       assert(math.abs(cell.value - want) < 1e-10)
     }
-  }
-
-  test("norm helper matches driver-side computation") {
-    val want = math.sqrt(tensor.collectEntries().map { case (_, v) => v * v }.sum)
-    assert(math.abs(HooiCommon.norm(tensor.entriesRdd(2)) - want) < 1e-9)
   }
 }

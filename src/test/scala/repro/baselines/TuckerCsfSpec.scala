@@ -17,13 +17,12 @@ class TuckerCsfSpec extends SparkSpec {
       val kronLen = (0 until 3).filter(_ != mode).map(_ => 2).product
       val viaCsf = TuckerCsf.csfTtmcRows(entries.iterator, mode, kronLen, f)
         .toMap
-      // naive reference
-      val naive = scala.collection.mutable.HashMap.empty[Int, Array[Double]]
-      entries.foreach { e =>
-        val rows = new Array[Array[Double]](3)
-        for (k <- 0 until 3 if k != mode) rows(k) = factors(k).row(e.idx(k))
-        val acc = naive.getOrElseUpdate(e.idx(mode), new Array[Double](kronLen))
-        HooiCommon.accumulateKron(acc, e, mode, rows)
+      // naive reference: the literal Kronecker product, first non-target mode fastest
+      val Seq(k1, k2) = (0 until 3).filter(_ != mode)
+      val naive = entries.groupBy(_.idx(mode)).map { case (i, es) =>
+        i -> Array.tabulate(kronLen) { c =>
+          es.map(e => e.value * factors(k1)(e.idx(k1), c % 2) * factors(k2)(e.idx(k2), c / 2)).sum
+        }
       }
       assert(viaCsf.keySet == naive.keySet)
       viaCsf.foreach { case (i, v) =>
@@ -60,6 +59,12 @@ class TuckerCsfSpec extends SparkSpec {
         assert(math.abs(v - x * kron(j1 * 2 + j2)) < 1e-12)
       }
     }
+  }
+
+  test("a rank above its dimension fails before the first scan, naming the mode") {
+    val t = tensor // dims (10, 9, 8); generated before counting jobs
+    val e = rejectedBeforeAnyJob(TuckerCsf.fit(spark, t, Array(2, 10, 2), maxIters = 1))
+    assert(e.getMessage.contains("mode 1"), e.getMessage)
   }
 
   test("factor subspaces match dense HOOI") {

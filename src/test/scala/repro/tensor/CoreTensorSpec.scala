@@ -26,14 +26,6 @@ class CoreTensorSpec extends AnyFunSuite {
     })
   }
 
-  test("withValues replaces values keeping the alive set") {
-    val c = CoreTensor.rand(Array(2, 2), 3)
-    val v = Array(1.0, 2.0, 3.0, 4.0)
-    val c2 = c.withValues(v)
-    assert(c2.entries.map(_.value).toSeq == v.toSeq)
-    assert(c2.entries.map(_.idx.toSeq).toSeq == c.entries.map(_.idx.toSeq).toSeq)
-  }
-
   test("truncate drops exactly the highest-R cells") {
     val c = CoreTensor.rand(Array(2, 2), 4)
     val r = Array(0.1, 5.0, 0.2, 4.0) // cells 1 and 3 are noisiest
